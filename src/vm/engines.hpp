@@ -1,6 +1,8 @@
 // Internal: the tiered execution pipeline. The three engines the paper
-// compares (interpreter.cpp, baseline.cpp, optimizing.cpp) are tier backends
-// behind one TieredEngine; public code uses make_engine().
+// compares are tier backends behind one TieredEngine: the interpreter and
+// baseline tiers are two instantiations of the stack-IL executor
+// (stackexec.cpp), the optimizing tier runs register IR (optimizing.cpp).
+// Public code uses make_engine().
 //
 // Dispatch (tiered.cpp): every call funnels through TieredEngine::call(),
 // which consults the method's CodeCache entry. Methods at Tier::Optimizing

@@ -8,6 +8,7 @@
 #include "vm/arith.hpp"
 #include "vm/engines.hpp"
 #include "vm/execution.hpp"
+#include "vm/frame_protocol.hpp"
 #include "vm/heap.hpp"
 #include "vm/intrinsics.hpp"
 #include "vm/telemetry/telemetry.hpp"
@@ -90,18 +91,9 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
                             const Slot* args) {
   Module& mod = vm_.module();
   const MethodDef& m = *rc.method;
-  // Fuel check at the call boundary (see interpreter.cpp for rationale).
-  // Also guards OSR continuations: osr_enter lands here too.
-  if (ctx.fuel.exhausted()) {
-    vm_.throw_exception(ctx, mod.fuel_exhausted_class(),
-                        "fuel budget exhausted");
-    return Slot{};
-  }
-  if (ctx.fuel.past_deadline()) {
-    vm_.throw_exception(ctx, mod.deadline_exceeded_class(),
-                        "wall-clock deadline exceeded");
-    return Slot{};
-  }
+  // Frame-entry budget check; also guards OSR continuations, which
+  // osr_enter lands here.
+  if (!budget_ok(vm_, ctx)) return Slot{};
   telemetry::record_invocation(m.id, 0, kTierIndex);
   const auto arena_mark = ctx.arena.mark();
 
@@ -131,22 +123,26 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
     dgen = dent->deopt_generation.load(std::memory_order_relaxed);
   }
 
-  // Fuel windows: this tier has no OSR counter to piggyback on, so metering
-  // costs one extra predictable branch per taken back edge (the satellite-2
-  // single-compare constraint binds the interpreter, not this tier).
-  const bool fuel_on = ctx.fuel.active;
-  std::uint32_t backedges = 0;
-  std::uint32_t fuel_charged = 0;
-  std::uint32_t pulse_next = fuel_on ? kFuelPulseBackedges : 0;
+  // Fuel window: this tier has no OSR counter to piggyback on, so it counts
+  // back edges only while metering, at the cost of one extra predictable
+  // branch per taken back edge (the single-compare constraint binds the
+  // interpreter, not this tier).
+  PulseWindow win(ctx.fuel, 0);
 
-  auto leave_frame = [&] {
-    if (fuel_on && backedges != fuel_charged) {
-      ctx.fuel.charge(backedges - fuel_charged);
-      fuel_charged = backedges;
+  // Frame teardown runs on every exit, native C++ unwinds included, so a
+  // failed nested compile cannot leave ctx.top_frame at this dead frame.
+  struct FrameExit {
+    VMContext& ctx;
+    GcFrame* parent;
+    FrameArena::Mark arena_mark;
+    PulseWindow& win;
+    ~FrameExit() {
+      win.charge_residual(ctx.fuel);
+      ctx.top_frame = parent;
+      ctx.arena.release(arena_mark);
     }
-    ctx.top_frame = frame.gc.parent;
-    ctx.arena.release(arena_mark);
-  };
+  } frame_exit{ctx, frame.gc.parent, arena_mark, win};
+
   // Returns true when the frame must deoptimize: the branch was a taken back
   // edge (a safepoint, hence also a deopt point) and the generation moved.
   // `pc` then still indexes the branch, which is how deopt_bailout finds the
@@ -155,26 +151,11 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
   auto take_branch = [&](std::int32_t target) -> bool {
     if (target <= pc) {
       vm_.safepoint_poll(ctx);  // back-edge poll
-      if (fuel_on && ++backedges == pulse_next) {
-        pulse_next += kFuelPulseBackedges;
-        ctx.fuel.charge(backedges - fuel_charged);
-        fuel_charged = backedges;
-        if (ctx.fuel.exhausted()) {
-          // Leave pc at the branch so the deopt side table (and the
-          // unwinder's il_pc mapping) still index a real safepoint; the
-          // caller's bailout path sees the pending exception and dispatches.
-          vm_.throw_exception(ctx, mod.fuel_exhausted_class(),
-                              "fuel budget exhausted");
-          return true;
-        }
-        // Wall-clock deadline poll at the same pulse; same pc contract as
-        // the fuel kill above (DESIGN.md §14).
-        if (ctx.fuel.past_deadline()) {
-          vm_.throw_exception(ctx, mod.deadline_exceeded_class(),
-                              "wall-clock deadline exceeded");
-          return true;
-        }
-      }
+      // A fuel or deadline kill leaves pc at the branch so the deopt side
+      // table (and the unwinder's il_pc mapping) still index a real
+      // safepoint; the caller's bailout path sees the pending exception and
+      // dispatches.
+      if (win.fuel_on && win.tick() && !win.pulse(vm_, ctx)) return true;
       if (dent != nullptr && uw.idle() &&
           dent->deopt_generation.load(std::memory_order_relaxed) != dgen) {
         return true;
@@ -512,7 +493,6 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
 
       case ROp::RET_R:
         if (in.a >= 0) result = R[in.a];
-        leave_frame();
         return result;
 
       case ROp::NEWOBJ_R: {
@@ -794,7 +774,6 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
             continue;
           case UnwindAction::Kind::Propagate:
             ctx.pending_exception = uw.exception();
-            leave_frame();
             return result;
         }
         break;
@@ -857,32 +836,16 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
         }
         if (!ok) break;
 
-        // Fuel: charge exactly what the scalar loop's in-loop pulses would
-        // have charged by its LAST pulse (not the residual past it — that
-        // stays in `backedges` for the frame's next pulse or exit charge, so
-        // call-boundary exhaustion checks downstream see identical state).
-        // If that charge would exhaust the budget, decline vectorization:
-        // the scalar loop then kills the job at precisely the right pulse.
+        // Fuel: the scalar loop's pulses, charged in bulk. If that would
+        // exhaust the budget, decline vectorization: the scalar loop then
+        // kills the job at precisely the right pulse.
         const std::int64_t trips =
             static_cast<std::int64_t>(limit) - static_cast<std::int64_t>(start);
-        const std::uint32_t save_backedges = backedges;
-        const std::uint32_t save_charged = fuel_charged;
-        const std::uint32_t save_pulse = pulse_next;
+        const PulseWindow saved = win;
         std::uint64_t bulk = 0;
-        if (fuel_on) {
-          const std::uint64_t after = static_cast<std::uint64_t>(backedges) +
-                                      static_cast<std::uint64_t>(trips);
-          if (after >= pulse_next) {
-            const std::uint64_t last_pulse =
-                after - (after % kFuelPulseBackedges);
-            bulk = last_pulse - fuel_charged;
-            if (ctx.fuel.remaining <= static_cast<std::int64_t>(bulk)) break;
-            ctx.fuel.charge(bulk);
-            fuel_charged = static_cast<std::uint32_t>(last_pulse);
-            pulse_next =
-                static_cast<std::uint32_t>(last_pulse) + kFuelPulseBackedges;
-          }
-          backedges = static_cast<std::uint32_t>(after);
+        if (!win.charge_bulk(ctx.fuel, static_cast<std::uint64_t>(trips),
+                             &bulk)) {
+          break;
         }
 
         Slot s0v, s1v;
@@ -931,11 +894,7 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
               // Data-dependent gather index out of range: roll the fuel
               // state back and let the scalar loop re-run — it meters itself
               // pulse by pulse and throws at exactly the offending element.
-              backedges = save_backedges;
-              fuel_charged = save_charged;
-              pulse_next = save_pulse;
-              ctx.fuel.spent -= bulk;
-              ctx.fuel.remaining += static_cast<std::int64_t>(bulk);
+              win.rollback(saved, ctx.fuel, bulk);
               ran = false;
             }
             break;
@@ -994,9 +953,7 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
     if (ctx.has_pending()) goto dispatch_exception;
     // The invocation finishes in an interpreter continuation built from the
     // side-table record at this branch; its result IS this frame's result.
-    result = engine_.deopt_bailout(ctx, rc, pc, R);
-    leave_frame();
-    return result;
+    return engine_.deopt_bailout(ctx, rc, pc, R);
   }
 
   dispatch_exception: {
@@ -1016,7 +973,6 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
         continue;
       default:
         ctx.pending_exception = exc;
-        leave_frame();
         return result;
     }
   }

@@ -88,14 +88,76 @@ TEST(VmCore, DivideByZeroThrows) {
 
 TEST(VmCore, DivisionOverflowThrowsArithmetic) {
   VMFixture f;
-  ILBuilder b(f.vm.module(), "divovf", {{}, ValType::I32});
-  b.ldc_i4(std::numeric_limits<std::int32_t>::min()).ldc_i4(-1).div().ret();
-  const auto m = b.finish();
-  verify(f.vm.module(), m);
+  Module& mod = f.vm.module();
+  // i32 with both operands constant; i64 with the divisor in a register.
+  ILBuilder b32(mod, "divovf", {{}, ValType::I32});
+  b32.ldc_i4(std::numeric_limits<std::int32_t>::min()).ldc_i4(-1).div().ret();
+  const auto m32 = b32.finish();
+  ILBuilder b64(mod, "divovf64", {{ValType::I64}, ValType::I64});
+  b64.ldc_i8(std::numeric_limits<std::int64_t>::min()).ldarg(0).div().ret();
+  const auto m64 = b64.finish();
   VMContext& ctx = f.vm.main_context();
-  for (auto& e : f.engines) {
-    ctx.engine = e.get();
-    EXPECT_THROW(e->invoke(ctx, m, {}), ManagedException) << e->name();
+  const Slot minus_one = Slot::from_i64(-1);
+  for (const auto& [m, args] :
+       {std::pair{m32, std::vector<Slot>{}},
+        std::pair{m64, std::vector<Slot>{minus_one}}}) {
+    verify(mod, m);
+    for (auto& e : f.engines) {
+      ctx.engine = e.get();
+      try {
+        e->invoke(ctx, m, args);
+        ADD_FAILURE() << e->name() << " " << mod.method(m).name
+                      << ": no exception";
+      } catch (const ManagedException& ex) {
+        EXPECT_EQ(ex.class_name(), "System.ArithmeticException")
+            << e->name() << " " << mod.method(m).name;
+      }
+    }
+  }
+}
+
+TEST(VmCore, RemainderOfMinValueByMinusOneIsZero) {
+  // CLI rem does not overflow: MinValue % -1 == 0 on every tier, with the
+  // divisor in a register and as a constant. ibm131 joins the tiers because
+  // its divisor-immediate fusion compiles the constant case to REMI_*.
+  VMFixture f;
+  f.engines.push_back(make_engine(f.vm, profiles::ibm131()));
+  Module& mod = f.vm.module();
+  {
+    ILBuilder b(mod, "rem32", {{ValType::I32, ValType::I32}, ValType::I32});
+    b.ldarg(0).ldarg(1).rem().ret();
+    EXPECT_EQ(f.run_all(b.finish(),
+                        {Slot::from_i32(std::numeric_limits<std::int32_t>::min()),
+                         Slot::from_i32(-1)})
+                  .i32,
+              0);
+  }
+  {
+    ILBuilder b(mod, "rem32c", {{ValType::I32}, ValType::I32});
+    b.ldarg(0).ldc_i4(-1).rem().ret();
+    EXPECT_EQ(
+        f.run_all(b.finish(),
+                  {Slot::from_i32(std::numeric_limits<std::int32_t>::min())})
+            .i32,
+        0);
+  }
+  {
+    ILBuilder b(mod, "rem64", {{ValType::I64, ValType::I64}, ValType::I64});
+    b.ldarg(0).ldarg(1).rem().ret();
+    EXPECT_EQ(f.run_all(b.finish(),
+                        {Slot::from_i64(std::numeric_limits<std::int64_t>::min()),
+                         Slot::from_i64(-1)})
+                  .i64,
+              0);
+  }
+  {
+    ILBuilder b(mod, "rem64c", {{ValType::I64}, ValType::I64});
+    b.ldarg(0).ldc_i8(-1).rem().ret();
+    EXPECT_EQ(
+        f.run_all(b.finish(),
+                  {Slot::from_i64(std::numeric_limits<std::int64_t>::min())})
+            .i64,
+        0);
   }
 }
 

@@ -70,6 +70,52 @@ TEST(VmGc, LiveObjectsSurviveThroughLocals) {
   EXPECT_EQ(f.run_all(m, {Slot::from_i32(3000)}).i32, 63);
 }
 
+TEST(VmGc, OperandStackRefsAreRoots) {
+  // A ref whose only copy lives on the operand stack must survive a call
+  // that churns garbage and allocations issued above it on the stack. The
+  // interpreter finds it through its slot tags, the baseline tier through
+  // the verifier's stack map at the current pc, the optimizing tier through
+  // its ref registers.
+  VMFixture f;
+  f.vm.heap().set_threshold(1 << 14);
+  Module& mod = f.vm.module();
+  ILBuilder c(mod, "stackroot.churn", {{ValType::I32}, ValType::I32});
+  {
+    const auto i = c.add_local(ValType::I32);
+    auto cond = c.new_label();
+    auto top = c.new_label();
+    c.ldc_i4(0).stloc(i).br(cond);
+    c.bind(top);
+    c.ldc_i4(16).newarr(ValType::I32).pop();  // same size as the survivor
+    c.ldc_i4(128).newarr(ValType::F64).pop();
+    c.ldloc(i).ldc_i4(1).add().stloc(i);
+    c.bind(cond);
+    c.ldloc(i).ldarg(0).blt(top);
+    c.ldarg(0).ret();
+  }
+  const auto churn = c.finish();
+
+  ILBuilder b(mod, "stackroot", {{ValType::I32}, ValType::I32});
+  const auto arr = b.add_local(ValType::Ref);
+  b.ldc_i4(16).newarr(ValType::I32).stloc(arr);
+  b.ldloc(arr).ldc_i4(5).ldc_i4(42).stelem(ValType::I32);
+  b.ldloc(arr);             // the stack now holds the ref ...
+  b.ldnull().stloc(arr);    // ... and nothing else does
+  b.ldarg(0).call(churn).pop();
+  for (int k = 0; k < 4; ++k) {
+    // 32 KiB each: large-object allocations that trip the collection
+    // threshold at the NEWARR itself, with the ref one slot below.
+    b.ldc_i4(4096).newarr(ValType::F64).pop();
+    b.ldc_i4(16).newarr(ValType::I32).pop();
+  }
+  b.ldc_i4(5).ldelem(ValType::I32).ret();
+  const auto m = b.finish();
+
+  const auto before = f.vm.gc_count();
+  EXPECT_EQ(f.run_all(m, {Slot::from_i32(2000)}).i32, 42);
+  EXPECT_GT(f.vm.gc_count(), before);
+}
+
 TEST(VmGc, ReachabilityThroughObjectGraphAndStatics) {
   VMFixture f;
   f.vm.heap().set_threshold(1 << 14);
