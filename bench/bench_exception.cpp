@@ -1,8 +1,8 @@
 // Graph 5: exception handling — rethrowing an existing object ("Throw"),
 // constructing a new exception per iteration ("New"), and an exception
 // raised one call level down ("Method"). The paper's headline here: every
-// CLI engine pays far more per exception than the JVMs (cheap_exceptions
-// profiles model the JVM side).
+// CLI engine pays far more per exception than the JVMs. All profiles here
+// share one throw path, so that split is not modelled (EXPERIMENTS.md).
 #include <stdexcept>
 
 #include "cil/micro.hpp"

@@ -28,7 +28,6 @@ EngineProfile clr11() {
   p.flags.enregister_limit = 64;  // paper §5
   p.flags.fast_multidim = true;
   p.flags.fast_math = true;
-  p.flags.cheap_exceptions = false;
   // The commercial leaders run the full classic pass set (paper §5: the
   // CLR and IBM JITs eliminate the most operations from the hot paths).
   p.flags.inline_calls = true;
@@ -46,7 +45,6 @@ EngineProfile ibm131() {
   p.flags.mul_imm_fusion = false;
   p.flags.fast_multidim = false;  // JVM lacks true rank-2 arrays
   p.flags.fast_math = false;      // paper: CLR Math library faster
-  p.flags.cheap_exceptions = true;
   p.flags.inline_calls = true;  // the IBM JIT inlined aggressively
   p.flags.inline_max_il = 64;
   p.flags.cse = true;
@@ -63,7 +61,6 @@ EngineProfile sun14() {
   p.flags.mul_imm_fusion = false;
   p.flags.fast_multidim = false;
   p.flags.fast_math = false;
-  p.flags.cheap_exceptions = true;
   // HotSpot client compiler: local value numbering and code motion, but
   // conservative inlining (modelled here as none).
   p.flags.cse = true;
@@ -79,7 +76,6 @@ EngineProfile bea81() {
   p.flags.mul_imm_fusion = false;
   p.flags.fast_multidim = false;
   p.flags.fast_math = false;
-  p.flags.cheap_exceptions = true;
   // JRockit: strong inliner and value numbering, but no loop-oriented
   // passes in this mix (it also skips BCE above).
   p.flags.inline_calls = true;
@@ -436,6 +432,15 @@ ObjRef VirtualMachine::make_exception(VMContext& ctx, std::int32_t class_id,
 void VirtualMachine::throw_exception(VMContext& ctx, std::int32_t class_id,
                                      const std::string& message) {
   ctx.pending_exception = make_exception(ctx, class_id, message);
+}
+
+void VirtualMachine::throw_div_fault(VMContext& ctx, arith::DivStatus s) {
+  if (s == arith::DivStatus::DivideByZero) {
+    throw_exception(ctx, module_.divide_by_zero_class(), "division by zero");
+  } else {
+    throw_exception(ctx, module_.arithmetic_class(),
+                    "integer overflow in division");
+  }
 }
 
 std::pair<std::string, std::string> VirtualMachine::describe_exception(

@@ -86,6 +86,11 @@ class OptimizingBackend final : public OptBackend {
     vm_.throw_exception(ctx, (cls), (msg)); \
     goto dispatch_exception;                \
   } while (0)
+#define DIV_THROW(status)                   \
+  do {                                      \
+    vm_.throw_div_fault(ctx, (status));     \
+    goto dispatch_exception;                \
+  } while (0)
 
 Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
                             const Slot* args) {
@@ -217,42 +222,28 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
       case ROp::DIV_I4: {
         std::int32_t out;
         const auto s = arith::div_i32(R[in.a].i32, R[in.b].i32, &out);
-        if (s == arith::DivStatus::DivideByZero) {
-          OPT_THROW(mod.divide_by_zero_class(), "division by zero");
-        }
-        if (s == arith::DivStatus::Overflow) {
-          OPT_THROW(mod.arithmetic_class(), "integer overflow in division");
-        }
+        if (s != arith::DivStatus::Ok) DIV_THROW(s);
         R[in.d].i32 = out;
         break;
       }
       case ROp::REM_I4: {
         std::int32_t out;
-        if (arith::rem_i32(R[in.a].i32, R[in.b].i32, &out) ==
-            arith::DivStatus::DivideByZero) {
-          OPT_THROW(mod.divide_by_zero_class(), "division by zero");
-        }
+        const auto s = arith::rem_i32(R[in.a].i32, R[in.b].i32, &out);
+        if (s != arith::DivStatus::Ok) DIV_THROW(s);
         R[in.d].i32 = out;
         break;
       }
       case ROp::DIV_I8: {
         std::int64_t out;
         const auto s = arith::div_i64(R[in.a].i64, R[in.b].i64, &out);
-        if (s == arith::DivStatus::DivideByZero) {
-          OPT_THROW(mod.divide_by_zero_class(), "division by zero");
-        }
-        if (s == arith::DivStatus::Overflow) {
-          OPT_THROW(mod.arithmetic_class(), "integer overflow in division");
-        }
+        if (s != arith::DivStatus::Ok) DIV_THROW(s);
         R[in.d].i64 = out;
         break;
       }
       case ROp::REM_I8: {
         std::int64_t out;
-        if (arith::rem_i64(R[in.a].i64, R[in.b].i64, &out) ==
-            arith::DivStatus::DivideByZero) {
-          OPT_THROW(mod.divide_by_zero_class(), "division by zero");
-        }
+        const auto s = arith::rem_i64(R[in.a].i64, R[in.b].i64, &out);
+        if (s != arith::DivStatus::Ok) DIV_THROW(s);
         R[in.d].i64 = out;
         break;
       }
@@ -270,21 +261,15 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
         std::int32_t out;
         const auto s = arith::div_i32(R[in.a].i32,
                                       static_cast<std::int32_t>(in.imm.i64), &out);
-        if (s == arith::DivStatus::DivideByZero) {
-          OPT_THROW(mod.divide_by_zero_class(), "division by zero");
-        }
-        if (s == arith::DivStatus::Overflow) {
-          OPT_THROW(mod.arithmetic_class(), "integer overflow in division");
-        }
+        if (s != arith::DivStatus::Ok) DIV_THROW(s);
         R[in.d].i32 = out;
         break;
       }
       case ROp::REMI_I4: {
         std::int32_t out;
-        if (arith::rem_i32(R[in.a].i32, static_cast<std::int32_t>(in.imm.i64),
-                           &out) == arith::DivStatus::DivideByZero) {
-          OPT_THROW(mod.divide_by_zero_class(), "division by zero");
-        }
+        const auto s = arith::rem_i32(R[in.a].i32,
+                                      static_cast<std::int32_t>(in.imm.i64), &out);
+        if (s != arith::DivStatus::Ok) DIV_THROW(s);
         R[in.d].i32 = out;
         break;
       }
@@ -300,21 +285,14 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
       case ROp::DIVI_I8: {
         std::int64_t out;
         const auto s = arith::div_i64(R[in.a].i64, in.imm.i64, &out);
-        if (s == arith::DivStatus::DivideByZero) {
-          OPT_THROW(mod.divide_by_zero_class(), "division by zero");
-        }
-        if (s == arith::DivStatus::Overflow) {
-          OPT_THROW(mod.arithmetic_class(), "integer overflow in division");
-        }
+        if (s != arith::DivStatus::Ok) DIV_THROW(s);
         R[in.d].i64 = out;
         break;
       }
       case ROp::REMI_I8: {
         std::int64_t out;
-        if (arith::rem_i64(R[in.a].i64, in.imm.i64, &out) ==
-            arith::DivStatus::DivideByZero) {
-          OPT_THROW(mod.divide_by_zero_class(), "division by zero");
-        }
+        const auto s = arith::rem_i64(R[in.a].i64, in.imm.i64, &out);
+        if (s != arith::DivStatus::Ok) DIV_THROW(s);
         R[in.d].i64 = out;
         break;
       }
@@ -980,6 +958,7 @@ Slot OptimizingBackend::run(VMContext& ctx, const RCode& rc,
 }
 
 #undef OPT_THROW
+#undef DIV_THROW
 
 }  // namespace
 

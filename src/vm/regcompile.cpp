@@ -80,15 +80,7 @@ class Compiler {
     if (flags_.bounds_check_elim) eliminate_bounds_checks();
     mark(telemetry::JitPass::BoundsCheckElim);
     if (flags_.bounds_check_elim) trace("bce");
-    if (flags_.vectorize) {
-      regir::VecLowerInput vin;
-      vin.code = &out_;
-      vin.il_start = &il_start_;
-      vin.labels = &labels_;
-      vin.method = mp_;
-      vin.rc = &rc_;
-      regir::lower_vector_loops(vin);
-    }
+    if (flags_.vectorize) lower_vector_loops(ir());
     mark(telemetry::JitPass::VecLower);
     if (flags_.vectorize) trace("veclower");
     compact();
@@ -181,12 +173,15 @@ class Compiler {
   void cse_blocks();
   void hoist_loop_invariants();
   bool hoist_round();
-  bool try_hoist(std::int32_t body, std::int32_t j);
+  bool try_hoist(IrView& view, const BackEdge& loop,
+                 const std::vector<bool>& label_pos);
   void eliminate_bounds_checks();
   void compact();
   void finalize();
 
-  std::vector<std::int32_t> block_leaders() const;
+  /// The pre-compaction IR as the loop-region analysis sees it.
+  IrView ir() { return {out_, il_start_, labels_, *mp_, rc_}; }
+  std::vector<std::int32_t> block_leaders();
   std::vector<std::int32_t> live_out_stack_regs(std::size_t block_end) const;
 
   std::string dump_rcode() const;
@@ -230,7 +225,6 @@ void Compiler::translate() {
 void Compiler::translate_one(std::int32_t pc, const Instr& in) {
   const auto& st = mp_->stack_in[static_cast<std::size_t>(pc)];
   const auto d = static_cast<std::int32_t>(st.size());
-  auto stk = [&](std::int32_t i) { return st[static_cast<std::size_t>(i)]; };
 
   switch (in.op) {
     case Op::NOP:
@@ -841,22 +835,16 @@ void Compiler::translate_one(std::int32_t pc, const Instr& in) {
 // --------------------------------------------------------------------------
 // Copy propagation + dead-move elimination, per basic block.
 
-std::vector<std::int32_t> Compiler::block_leaders() const {
-  std::vector<bool> lead(out_.size() + 1, false);
-  lead[0] = true;
-  for (std::size_t i = 0; i < out_.size(); ++i) {
-    if (is_block_end(out_[i].op) && i + 1 < out_.size()) lead[i + 1] = true;
-  }
-  // IL label positions (branch targets, handler starts, leave targets).
-  for (std::size_t il = 0; il < labels_.size(); ++il) {
-    if (labels_[il] && il < il_start_.size() && il_start_[il] >= 0 &&
-        static_cast<std::size_t>(il_start_[il]) < out_.size()) {
-      lead[static_cast<std::size_t>(il_start_[il])] = true;
-    }
+std::vector<std::int32_t> Compiler::block_leaders() {
+  // IL label positions (branch targets, handler starts, leave targets), and
+  // every instruction after a block end.
+  std::vector<bool> lead = ir().label_positions();
+  for (std::size_t i = 0; i + 1 < out_.size(); ++i) {
+    if (is_block_end(out_[i].op)) lead[i + 1] = true;
   }
   std::vector<std::int32_t> leaders;
   for (std::size_t i = 0; i < out_.size(); ++i) {
-    if (lead[i]) leaders.push_back(static_cast<std::int32_t>(i));
+    if (i == 0 || lead[i]) leaders.push_back(static_cast<std::int32_t>(i));
   }
   leaders.push_back(static_cast<std::int32_t>(out_.size()));
   return leaders;
@@ -1575,92 +1563,33 @@ void Compiler::hoist_loop_invariants() {
 }
 
 bool Compiler::hoist_round() {
-  struct Loop {
-    std::int32_t body, branch;
-  };
-  std::vector<Loop> loops;
-  for (std::size_t j = 0; j < out_.size(); ++j) {
-    if (!is_branch(out_[j].op)) continue;
-    const std::int32_t til = out_[j].d;
-    if (til < 0 || static_cast<std::size_t>(til) >= il_start_.size()) continue;
-    const std::int32_t body = il_start_[static_cast<std::size_t>(til)];
-    if (body < 0 || static_cast<std::size_t>(body) >= j) continue;
-    loops.push_back({body, static_cast<std::int32_t>(j)});
-  }
-  std::sort(loops.begin(), loops.end(), [](const Loop& x, const Loop& y) {
-    return (x.branch - x.body) < (y.branch - y.body);
-  });
-  for (const Loop& l : loops) {
-    if (try_hoist(l.body, l.branch)) return true;
+  IrView view = ir();
+  const std::vector<BackEdge> loops =
+      view.back_edges(is_branch, /*innermost_first=*/true);
+  if (loops.empty()) return false;
+  const std::vector<bool> label_pos = view.label_positions();
+  for (const BackEdge& l : loops) {
+    if (try_hoist(view, l, label_pos)) return true;
   }
   return false;
 }
 
-bool Compiler::try_hoist(std::int32_t body, std::int32_t j) {
-  // No handler may start inside the region (entry via unwind is invisible to
-  // the entry analysis below).
-  for (const ExHandler& h : mp_->handlers) {
-    const std::int32_t hs = il_start_[static_cast<std::size_t>(h.handler)];
-    if (hs >= body && hs <= j) return false;
-  }
-
-  // Entry analysis: find every control transfer into [body, j] from outside.
-  std::int32_t entries = 0;
-  std::int32_t entry_jmp = -1;     // position of the sole outside jump
-  std::int32_t entry_target = -1;  // where it lands inside the region
-  bool entry_uncond = false;
-  for (std::size_t p = 0; p < out_.size(); ++p) {
-    const RInstr& in = out_[p];
-    std::int32_t til;
-    if (is_branch(in.op)) {
-      til = in.d;
-    } else if (in.op == ROp::LEAVE_R) {
-      til = in.a;
-    } else {
-      continue;
-    }
-    if (til < 0 || static_cast<std::size_t>(til) >= il_start_.size()) continue;
-    const std::int32_t t = il_start_[static_cast<std::size_t>(til)];
-    if (t < body || t > j) continue;
-    const auto pos = static_cast<std::int32_t>(p);
-    if (pos >= body && pos <= j) continue;  // internal edge
-    ++entries;
-    entry_jmp = pos;
-    entry_target = t;
-    entry_uncond = in.op == ROp::JMP || in.op == ROp::JMPB;
-  }
-
-  bool fall_in = true;
-  {
-    std::int32_t p = body - 1;
-    while (p >= 0 && out_[static_cast<std::size_t>(p)].op == ROp::NOP_R) --p;
-    if (p >= 0) {
-      const ROp op = out_[static_cast<std::size_t>(p)].op;
-      if (op == ROp::JMP || op == ROp::JMPB || op == ROp::RET_R ||
-          op == ROp::THROW_R || op == ROp::LEAVE_R ||
-          op == ROp::ENDFINALLY_R) {
-        fall_in = false;
-      }
-    }
-  }
-
+bool Compiler::try_hoist(IrView& view, const BackEdge& loop,
+                         const std::vector<bool>& label_pos) {
+  const std::int32_t body = loop.body, j = loop.branch;
+  const RegionEntry e = view.entry(loop);
   std::int32_t insert_at;
   std::int32_t entry_pos;  // first region instruction that always executes
-  if (entries == 0 && fall_in) {
+  if (e.shape == LoopEntry::FallIn) {
     insert_at = body;
     entry_pos = body;
-  } else if (entries == 1 && !fall_in && entry_uncond) {
+  } else if (e.shape == LoopEntry::Rotated) {
     // Rotated loop: hoist into the preheader, right before the entry jump.
     // A branch targeting the jump's own position would skip the hoisted
     // code after the insertion shift; reject that shape.
-    for (std::size_t il = 0; il < labels_.size(); ++il) {
-      if (labels_[il] && il < il_start_.size() &&
-          il_start_[il] == entry_jmp) {
-        return false;
-      }
-    }
-    insert_at = entry_jmp;
-    entry_pos = entry_target;
+    if (label_pos[static_cast<std::size_t>(e.jmp)]) return false;
+    insert_at = e.jmp;
+    entry_pos = e.target;
   } else {
     return false;
   }
@@ -1668,13 +1597,6 @@ bool Compiler::try_hoist(std::int32_t body, std::int32_t j) {
   // Extent of the guaranteed-executed entry block: from entry_pos to the
   // first block end or labeled position (a label admits paths that bypass
   // the instructions before it).
-  std::vector<bool> label_pos(out_.size(), false);
-  for (std::size_t il = 0; il < labels_.size(); ++il) {
-    if (labels_[il] && il < il_start_.size() && il_start_[il] >= 0 &&
-        static_cast<std::size_t>(il_start_[il]) < out_.size()) {
-      label_pos[static_cast<std::size_t>(il_start_[il])] = true;
-    }
-  }
   std::int32_t eb_end = entry_pos;
   for (std::int32_t p = entry_pos; p <= j; ++p) {
     if (p > entry_pos && label_pos[static_cast<std::size_t>(p)]) break;
@@ -1682,29 +1604,7 @@ bool Compiler::try_hoist(std::int32_t body, std::int32_t j) {
     if (is_block_end(out_[static_cast<std::size_t>(p)].op)) break;
   }
 
-  const std::int32_t nregs = static_cast<std::int32_t>(rc_.reg_types.size());
-  std::vector<std::int32_t> region_defs(static_cast<std::size_t>(nregs), 0);
-  for (std::int32_t p = body; p <= j; ++p) {
-    const Operands ops = operands_of(out_[static_cast<std::size_t>(p)],
-                                     rc_.args_pool);
-    if (ops.def >= 0) ++region_defs[static_cast<std::size_t>(ops.def)];
-  }
-
-  auto uses_reg = [&](const RInstr& in, std::int32_t r) {
-    const Operands ops = operands_of(in, rc_.args_pool);
-    for (int k = 0; k < ops.nuses; ++k) {
-      if (ops.uses[k] == r) return true;
-    }
-    if (in.op == ROp::CALL_R || in.op == ROp::CALLINTR_R) {
-      const auto argc = static_cast<std::int32_t>(in.imm.i64);
-      for (std::int32_t k = 0; k < argc; ++k) {
-        if (rc_.args_pool[static_cast<std::size_t>(in.b + k)] == r) {
-          return true;
-        }
-      }
-    }
-    return false;
-  };
+  const std::vector<std::int32_t> region_defs = view.region_defs(loop);
 
   const std::int32_t ins_il = out_[static_cast<std::size_t>(insert_at)].il_pc;
   std::vector<std::int32_t> cands;
@@ -1725,7 +1625,7 @@ bool Compiler::try_hoist(std::int32_t body, std::int32_t j) {
     // observe the speculated value).
     for (std::size_t p = 0; p < out_.size() && ok; ++p) {
       if (out_[p].op == ROp::NOP_R) continue;
-      if (!uses_reg(out_[p], ops.def)) continue;
+      if (!view.uses_reg(out_[p], ops.def)) continue;
       const auto pos = static_cast<std::int32_t>(p);
       if (pos <= k || pos > j || pos < body) ok = false;
     }
@@ -1757,11 +1657,7 @@ bool Compiler::try_hoist(std::int32_t body, std::int32_t j) {
     hoisted.push_back(h);
     out_[static_cast<std::size_t>(k)].op = ROp::NOP_R;
   }
-  out_.insert(out_.begin() + insert_at, hoisted.begin(), hoisted.end());
-  const auto nh = static_cast<std::int32_t>(hoisted.size());
-  for (auto& v : il_start_) {
-    if (v >= insert_at) v += nh;
-  }
+  view.insert_before(insert_at, hoisted);
   return true;
 }
 
@@ -1771,12 +1667,8 @@ bool Compiler::try_hoist(std::int32_t body, std::int32_t j) {
 void Compiler::eliminate_bounds_checks() {
   // Def counts per register across the whole method (spotting single-def
   // array registers; arguments count as zero-def).
-  const std::int32_t nregs = static_cast<std::int32_t>(rc_.reg_types.size());
-  std::vector<std::int32_t> defs(static_cast<std::size_t>(nregs), 0);
-  for (std::size_t i = 0; i < out_.size(); ++i) {
-    const Operands ops = operands_of(out_[i], rc_.args_pool);
-    if (ops.def >= 0) ++defs[static_cast<std::size_t>(ops.def)];
-  }
+  const std::vector<std::int32_t> defs =
+      ir().region_defs({0, static_cast<std::int32_t>(out_.size()) - 1});
 
   // A register's last definition strictly before position `at`.
   auto last_def_before = [&](std::int32_t reg, std::size_t at) -> std::int32_t {
@@ -1804,14 +1696,15 @@ void Compiler::eliminate_bounds_checks() {
   };
 
   // Candidate back-edges: JLT_I4 i, len, body with body earlier in the code
-  // (the canonical `br cond; body: ...; i++; cond: ldlen; blt body` shape).
-  for (std::size_t j = 0; j < out_.size(); ++j) {
+  // (the canonical `br cond; body: ...; i++; cond: ldlen; blt body` shape),
+  // in code order. Rewriting one loop only touches positions up to its own
+  // back edge, so the list stays valid for the loops after it.
+  const auto loops = ir().back_edges(
+      [](ROp op) { return op == ROp::JLT_I4; }, /*innermost_first=*/false);
+  for (const BackEdge& loop : loops) {
+    const auto j = static_cast<std::size_t>(loop.branch);
+    const std::int32_t body = loop.body;
     const RInstr& br = out_[j];
-    if (br.op != ROp::JLT_I4) continue;
-    const std::int32_t til = br.d;  // still an IL pc pre-compaction
-    if (til < 0 || static_cast<std::size_t>(til) >= il_start_.size()) continue;
-    const std::int32_t body = il_start_[static_cast<std::size_t>(til)];
-    if (body < 0 || static_cast<std::size_t>(body) >= j) continue;
     const std::int32_t ireg = br.a;
     const std::int32_t lenreg = br.b;
 

@@ -145,6 +145,10 @@ std::vector<char> serialize_graph(VirtualMachine& vm, ObjRef root) {
         body.raw(obj->chars(), static_cast<std::size_t>(obj->length));
         break;
       }
+      case ObjKind::Free:
+        // A swept block is unreachable from a live root; reaching one means
+        // a dangling reference, and the record would not read back.
+        throw SerializeError("reference to a freed object");
     }
   }
   w.u32(static_cast<std::uint32_t>(order.size()));

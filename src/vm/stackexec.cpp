@@ -119,16 +119,14 @@ struct StackFrame {
   return f.stack[--f.sp];
 }
 
-/// Why a two-operand opcode could not produce its result.
-enum class Fault { None, TagMismatch, DivideByZero, Overflow };
-
 /// Two-operand arithmetic and bitwise opcodes on operand type `t` (a tag or
-/// the verifier's annotation), writing `r`, which may alias `a`. `O` is a
+/// the verifier's annotation), writing `r`, which may alias `a`; anything
+/// but Ok is a failed integer division and leaves `r` alone. `O` is a
 /// compile-time constant, so no arm dispatches on the opcode twice. Each
 /// case stores its own result: merging the typed results into one Slot
 /// first moved every float result through an integer register.
 template <Op O>
-Fault binop(ValType t, const Slot& a, const Slot& b, Slot& r) {
+arith::DivStatus binop(ValType t, const Slot& a, const Slot& b, Slot& r) {
   if constexpr (O == Op::AND || O == Op::OR || O == Op::XOR) {
     auto f = [](auto x, auto y) {
       if constexpr (O == Op::AND) return x & y;
@@ -152,17 +150,12 @@ Fault binop(ValType t, const Slot& a, const Slot& b, Slot& r) {
     }
   } else if constexpr (O == Op::DIV || O == Op::REM) {
     // CLI rem never overflows (MinValue % -1 == 0, see arith.hpp).
-    auto status = [&](arith::DivStatus s) {
-      return s == arith::DivStatus::Ok             ? Fault::None
-             : s == arith::DivStatus::DivideByZero ? Fault::DivideByZero
-                                                   : Fault::Overflow;
-    };
     switch (t) {
       case ValType::I32: {
         std::int32_t out;
         const auto s = O == Op::DIV ? arith::div_i32(a.i32, b.i32, &out)
                                     : arith::rem_i32(a.i32, b.i32, &out);
-        if (s != arith::DivStatus::Ok) return status(s);
+        if (s != arith::DivStatus::Ok) return s;
         r = Slot::from_i32(out);
         break;
       }
@@ -170,7 +163,7 @@ Fault binop(ValType t, const Slot& a, const Slot& b, Slot& r) {
         std::int64_t out;
         const auto s = O == Op::DIV ? arith::div_i64(a.i64, b.i64, &out)
                                     : arith::rem_i64(a.i64, b.i64, &out);
-        if (s != arith::DivStatus::Ok) return status(s);
+        if (s != arith::DivStatus::Ok) return s;
         r = Slot::from_i64(out);
         break;
       }
@@ -208,7 +201,7 @@ Fault binop(ValType t, const Slot& a, const Slot& b, Slot& r) {
         break;
     }
   }
-  return Fault::None;
+  return arith::DivStatus::Ok;
 }
 
 template <Op O>
@@ -279,7 +272,9 @@ Slot StackExecutor<P>::exec(VMContext& ctx, const MethodDef& m,
   SlotT* loc = frame.slots;
   std::int32_t pc = 0;
   Slot result;
-  Fault fault = Fault::None;  // why the last arith arm failed
+  // Why the last arith arm failed: a division status, or Ok for Tagged's
+  // operand tag mismatch.
+  arith::DivStatus div = arith::DivStatus::Ok;
   // Bytecode counter kept in a register-friendly local; flushed to the
   // telemetry scope only at frame exit so the dispatch loop pays nothing.
   std::uint64_t bc = 0;
@@ -438,24 +433,25 @@ Slot StackExecutor<P>::exec(VMContext& ctx, const MethodDef& m,
   // Two-operand arithmetic: Tagged pops both operands through the
   // portability layer and pushes the result back; Typed overwrites the
   // first operand in place.
-  auto arith = [&](ValType type, auto op) -> Fault {
+  auto arith = [&](ValType type, auto op) -> bool {
     constexpr Op O = decltype(op)::value;
     if constexpr (kTagged) {
       const TaggedSlot b = pop_portable(frame);
       const TaggedSlot a = pop_portable(frame);
       // Shift counts are always i32, whatever the shifted value's type.
       if (O != Op::SHL && O != Op::SHR && O != Op::SHR_UN && a.tag != b.tag) {
-        return Fault::TagMismatch;
+        div = arith::DivStatus::Ok;
+        return false;
       }
       Slot r;
-      const Fault f = binop<O>(a.tag, a.v, b.v, r);
-      if (f == Fault::None) push_portable(frame, a.tag, r);
-      return f;
+      div = binop<O>(a.tag, a.v, b.v, r);
+      if (div == arith::DivStatus::Ok) push_portable(frame, a.tag, r);
     } else {
       const Slot b = st[--frame.sp];
       Slot& a = st[frame.sp - 1];
-      return binop<O>(type, a, b, a);
+      div = binop<O>(type, a, b, a);
     }
+    return div == arith::DivStatus::Ok;
   };
   // Call arguments: the top `argc` slots (Tagged copies out their values).
   auto call_args = [&](std::size_t argc, Slot* argbuf) -> const Slot* {
@@ -534,29 +530,19 @@ Slot StackExecutor<P>::exec(VMContext& ctx, const MethodDef& m,
         break;
 
       case Op::ADD:
-        if ((fault = arith(in.type, kOp<Op::ADD>)) != Fault::None) {
-          goto arith_fault;
-        }
+        if (!arith(in.type, kOp<Op::ADD>)) goto arith_fault;
         break;
       case Op::SUB:
-        if ((fault = arith(in.type, kOp<Op::SUB>)) != Fault::None) {
-          goto arith_fault;
-        }
+        if (!arith(in.type, kOp<Op::SUB>)) goto arith_fault;
         break;
       case Op::MUL:
-        if ((fault = arith(in.type, kOp<Op::MUL>)) != Fault::None) {
-          goto arith_fault;
-        }
+        if (!arith(in.type, kOp<Op::MUL>)) goto arith_fault;
         break;
       case Op::DIV:
-        if ((fault = arith(in.type, kOp<Op::DIV>)) != Fault::None) {
-          goto arith_fault;
-        }
+        if (!arith(in.type, kOp<Op::DIV>)) goto arith_fault;
         break;
       case Op::REM:
-        if ((fault = arith(in.type, kOp<Op::REM>)) != Fault::None) {
-          goto arith_fault;
-        }
+        if (!arith(in.type, kOp<Op::REM>)) goto arith_fault;
         break;
       case Op::NEG: {
         const Operands o = unary(in.type);
@@ -570,19 +556,13 @@ Slot StackExecutor<P>::exec(VMContext& ctx, const MethodDef& m,
       }
 
       case Op::AND:
-        if ((fault = arith(in.type, kOp<Op::AND>)) != Fault::None) {
-          goto arith_fault;
-        }
+        if (!arith(in.type, kOp<Op::AND>)) goto arith_fault;
         break;
       case Op::OR:
-        if ((fault = arith(in.type, kOp<Op::OR>)) != Fault::None) {
-          goto arith_fault;
-        }
+        if (!arith(in.type, kOp<Op::OR>)) goto arith_fault;
         break;
       case Op::XOR:
-        if ((fault = arith(in.type, kOp<Op::XOR>)) != Fault::None) {
-          goto arith_fault;
-        }
+        if (!arith(in.type, kOp<Op::XOR>)) goto arith_fault;
         break;
       case Op::NOT: {
         const Operands o = unary(in.type);
@@ -591,19 +571,13 @@ Slot StackExecutor<P>::exec(VMContext& ctx, const MethodDef& m,
         break;
       }
       case Op::SHL:
-        if ((fault = arith(in.type, kOp<Op::SHL>)) != Fault::None) {
-          goto arith_fault;
-        }
+        if (!arith(in.type, kOp<Op::SHL>)) goto arith_fault;
         break;
       case Op::SHR:
-        if ((fault = arith(in.type, kOp<Op::SHR>)) != Fault::None) {
-          goto arith_fault;
-        }
+        if (!arith(in.type, kOp<Op::SHR>)) goto arith_fault;
         break;
       case Op::SHR_UN:
-        if ((fault = arith(in.type, kOp<Op::SHR_UN>)) != Fault::None) {
-          goto arith_fault;
-        }
+        if (!arith(in.type, kOp<Op::SHR_UN>)) goto arith_fault;
         break;
 
       case Op::CEQ:
@@ -1016,11 +990,10 @@ Slot StackExecutor<P>::exec(VMContext& ctx, const MethodDef& m,
     continue;
 
   arith_fault:
-    if (fault == Fault::DivideByZero) {
-      EXEC_THROW(mod.divide_by_zero_class(), "division by zero");
-    }
-    if (fault == Fault::Overflow) {
-      EXEC_THROW(mod.arithmetic_class(), "integer overflow in division");
+    if (div != arith::DivStatus::Ok) {
+      gc_point(pc);
+      vm_.throw_div_fault(ctx, div);
+      goto dispatch_exception;
     }
   tag_mismatch:
     EXEC_THROW(mod.invalid_cast_class(), "operand tag mismatch");

@@ -1,6 +1,5 @@
 #include "vm/veccompile.hpp"
 
-#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -49,12 +48,7 @@ struct Match {
 
 class Lowerer {
  public:
-  explicit Lowerer(const VecLowerInput& in)
-      : code_(*in.code),
-        il_start_(*in.il_start),
-        labels_(*in.labels),
-        method_(*in.method),
-        rc_(*in.rc) {}
+  explicit Lowerer(const IrView& ir) : ir_(ir), code_(ir.code), rc_(ir.rc) {}
 
   int run() {
     int lowered = 0;
@@ -68,101 +62,13 @@ class Lowerer {
 
  private:
   bool round_once() {
-    struct Cand {
-      std::size_t j;
-      std::int32_t body;
-    };
-    std::vector<Cand> cands;
-    for (std::size_t j = 0; j < code_.size(); ++j) {
-      const RInstr& br = code_[j];
-      if (br.op != ROp::JLT_I4 && br.op != ROp::JLT_LEN && br.op != ROp::JMP) {
-        continue;
-      }
-      const std::int32_t til = br.d;  // IL pc pre-compaction
-      if (til < 0 || static_cast<std::size_t>(til) >= il_start_.size()) {
-        continue;
-      }
-      const std::int32_t body = il_start_[static_cast<std::size_t>(til)];
-      if (body < 0 || static_cast<std::size_t>(body) >= j) continue;
-      cands.push_back({j, body});
-    }
-    // Innermost first: smaller regions cannot contain other loops.
-    std::sort(cands.begin(), cands.end(), [](const Cand& x, const Cand& y) {
-      return (static_cast<std::int32_t>(x.j) - x.body) <
-             (static_cast<std::int32_t>(y.j) - y.body);
-    });
-    for (const Cand& c : cands) {
-      if (try_lower(c.body, static_cast<std::int32_t>(c.j))) return true;
-    }
-    return false;
-  }
-
-  // ---- shared region analysis -----------------------------------------
-
-  bool handler_starts_inside(std::int32_t body, std::int32_t j) const {
-    for (const ExHandler& h : method_.handlers) {
-      const std::int32_t hs = il_start_[static_cast<std::size_t>(h.handler)];
-      if (hs >= body && hs <= j) return true;
-    }
-    return false;
-  }
-
-  /// try_hoist's entry analysis: every control transfer into [body, j] from
-  /// outside the region.
-  void analyze_entries(std::int32_t body, std::int32_t j, std::int32_t* count,
-                       std::int32_t* entry_jmp, std::int32_t* entry_target,
-                       bool* entry_uncond, bool* fall_in) const {
-    *count = 0;
-    *entry_jmp = -1;
-    *entry_target = -1;
-    *entry_uncond = false;
-    for (std::size_t p = 0; p < code_.size(); ++p) {
-      const RInstr& in = code_[p];
-      std::int32_t til;
-      if (is_branch(in.op)) {
-        til = in.d;
-      } else if (in.op == ROp::LEAVE_R) {
-        til = in.a;
-      } else {
-        continue;
-      }
-      if (til < 0 || static_cast<std::size_t>(til) >= il_start_.size()) {
-        continue;
-      }
-      const std::int32_t t = il_start_[static_cast<std::size_t>(til)];
-      if (t < body || t > j) continue;
-      const auto pos = static_cast<std::int32_t>(p);
-      if (pos >= body && pos <= j) continue;  // internal edge
-      ++*count;
-      *entry_jmp = pos;
-      *entry_target = t;
-      *entry_uncond = in.op == ROp::JMP || in.op == ROp::JMPB;
-    }
-    *fall_in = true;
-    std::int32_t p = body - 1;
-    while (p >= 0 && code_[static_cast<std::size_t>(p)].op == ROp::NOP_R) --p;
-    if (p >= 0) {
-      const ROp op = code_[static_cast<std::size_t>(p)].op;
-      if (op == ROp::JMP || op == ROp::JMPB || op == ROp::RET_R ||
-          op == ROp::THROW_R || op == ROp::LEAVE_R ||
-          op == ROp::ENDFINALLY_R) {
-        *fall_in = false;
-      }
-    }
-  }
-
-  bool uses_reg(const RInstr& in, std::int32_t r) const {
-    const Operands ops = operands_of(in, rc_.args_pool);
-    for (int k = 0; k < ops.nuses; ++k) {
-      if (ops.uses[k] == r) return true;
-    }
-    if (in.op == ROp::CALL_R || in.op == ROp::CALLINTR_R) {
-      const auto argc = static_cast<std::int32_t>(in.imm.i64);
-      for (std::int32_t k = 0; k < argc; ++k) {
-        if (rc_.args_pool[static_cast<std::size_t>(in.b + k)] == r) {
-          return true;
-        }
-      }
+    const auto loops = ir_.back_edges(
+        [](ROp op) {
+          return op == ROp::JLT_I4 || op == ROp::JLT_LEN || op == ROp::JMP;
+        },
+        /*innermost_first=*/true);
+    for (const BackEdge& l : loops) {
+      if (try_lower(l)) return true;
     }
     return false;
   }
@@ -201,16 +107,11 @@ class Lowerer {
 
   // ---- the lowering attempt -------------------------------------------
 
-  bool try_lower(std::int32_t body, std::int32_t j) {
+  bool try_lower(const BackEdge& loop) {
+    const std::int32_t body = loop.body, j = loop.branch;
     const RInstr& br = code_[static_cast<std::size_t>(j)];
     const bool rotated = br.op != ROp::JMP;  // JLT_I4 / JLT_LEN back edge
-
-    if (handler_starts_inside(body, j)) return false;
-
-    std::int32_t entries, entry_jmp, entry_target;
-    bool entry_uncond, fall_in;
-    analyze_entries(body, j, &entries, &entry_jmp, &entry_target,
-                    &entry_uncond, &fall_in);
+    const RegionEntry entry = ir_.entry(loop);
 
     std::int32_t insert_at;
     std::int32_t ivar, limit = -1, limit_arr = -1;
@@ -220,8 +121,8 @@ class Lowerer {
       // Form A — `br cond; top: body; i++; cond: jlt top` (counted_loop /
       // ldlen_loop). Loop entered only through one unconditional jump to the
       // guard; the VECLOOP goes right before that jump.
-      if (entries != 1 || fall_in || !entry_uncond) return false;
-      insert_at = entry_jmp;
+      if (entry.shape != LoopEntry::Rotated) return false;
+      insert_at = entry.jmp;
       ivar = br.a;
       if (br.op == ROp::JLT_I4) {
         limit = br.b;
@@ -235,7 +136,7 @@ class Lowerer {
       // scratch) the guard block recomputes `t = ldlen arr; jlt i, t`. That
       // ldlen re-executes after the kernel commits, so it needs no
       // modelling — the loop is simply length-bounded on `arr`.
-      for (std::int32_t k = entry_target; k < j; ++k) {
+      for (std::int32_t k = entry.target; k < j; ++k) {
         const RInstr& gi = code_[static_cast<std::size_t>(k)];
         if (gi.op == ROp::NOP_R) continue;
         if (gi.op == ROp::LDLEN_R && br.op == ROp::JLT_I4 && gi.d == br.b &&
@@ -247,14 +148,14 @@ class Lowerer {
         return false;
       }
       work_begin = body;
-      work_end = entry_target;
+      work_end = entry.target;
     } else {
       // Form B — `head: jge exit; body; i++; jmp head` (top-tested loops:
       // the SOR j-loop, the sparse gather loop). Entered by fall-in only;
       // the VECLOOP goes at the head. The il_start shift then re-points
       // every branch to the head PAST the superinstruction, so only the
       // fall-in path runs it — once.
-      if (entries != 0 || !fall_in) return false;
+      if (entry.shape != LoopEntry::FallIn) return false;
       insert_at = body;
       // First non-NOP must be the exit guard `jge ivar, limit -> after j`.
       std::int32_t g = body;
@@ -263,11 +164,7 @@ class Lowerer {
       }
       const RInstr& guard = code_[static_cast<std::size_t>(g)];
       if (guard.op != ROp::JGE_I4) return false;
-      const std::int32_t gtil = guard.d;
-      if (gtil < 0 || static_cast<std::size_t>(gtil) >= il_start_.size()) {
-        return false;
-      }
-      if (il_start_[static_cast<std::size_t>(gtil)] <= j) return false;
+      if (ir_.at_il(guard.d) <= j) return false;  // must exit past j
       ivar = guard.a;
       limit = guard.b;
       work_begin = g + 1;
@@ -281,19 +178,9 @@ class Lowerer {
     }
 
     // Region def counts + first def position (for carried-read legality).
-    const auto nregs = static_cast<std::int32_t>(rc_.reg_types.size());
-    std::vector<std::int32_t> region_defs(static_cast<std::size_t>(nregs), 0);
-    std::vector<std::int32_t> first_def(static_cast<std::size_t>(nregs), -1);
-    for (std::int32_t p = body; p <= j; ++p) {
-      const Operands ops = operands_of(code_[static_cast<std::size_t>(p)],
-                                       rc_.args_pool);
-      if (ops.def >= 0) {
-        ++region_defs[static_cast<std::size_t>(ops.def)];
-        if (first_def[static_cast<std::size_t>(ops.def)] < 0) {
-          first_def[static_cast<std::size_t>(ops.def)] = p;
-        }
-      }
-    }
+    std::vector<std::int32_t> first_def;
+    const std::vector<std::int32_t> region_defs =
+        ir_.region_defs(loop, &first_def);
     auto invariant = [&](std::int32_t r) {
       return r >= 0 && region_defs[static_cast<std::size_t>(r)] == 0;
     };
@@ -308,7 +195,7 @@ class Lowerer {
     // CSE'd form where t doubles as an `a[i+1]` address all match), and
     // nothing but NOPs may follow it before the back edge.
     pool_.clear();
-    std::vector<int> val(static_cast<std::size_t>(nregs), -1);
+    std::vector<int> val(rc_.reg_types.size(), -1);
     val[static_cast<std::size_t>(ivar)] = idx_node(0);
 
     std::vector<BoundReq> reqs;
@@ -547,7 +434,7 @@ class Lowerer {
       for (std::size_t p = static_cast<std::size_t>(j) + 1; p < code_.size();
            ++p) {
         if (operands_of(code_[p], rc_.args_pool).def == r) break;
-        if (uses_reg(code_[p], r)) return false;
+        if (ir_.uses_reg(code_[p], r)) return false;
       }
     }
 
@@ -572,10 +459,7 @@ class Lowerer {
     v.a = static_cast<std::int32_t>(rc_.vec_loops.size());
     v.il_pc = code_[static_cast<std::size_t>(insert_at)].il_pc;
     rc_.vec_loops.push_back(vl);
-    code_.insert(code_.begin() + insert_at, v);
-    for (auto& p : il_start_) {
-      if (p >= insert_at) p += 1;
-    }
+    ir_.insert_before(insert_at, {v});
     return true;
   }
 
@@ -762,18 +646,16 @@ class Lowerer {
     }
   }
 
+  IrView ir_;
   std::vector<RInstr>& code_;
-  std::vector<std::int32_t>& il_start_;
-  const std::vector<bool>& labels_;
-  const MethodDef& method_;
   RCode& rc_;
   std::vector<Expr> pool_;
 };
 
 }  // namespace
 
-int lower_vector_loops(const VecLowerInput& in) {
-  return Lowerer(in).run();
+int lower_vector_loops(const IrView& ir) {
+  return Lowerer(ir).run();
 }
 
 }  // namespace hpcnet::vm::regir

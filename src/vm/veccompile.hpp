@@ -5,25 +5,11 @@
 // never a replacement — so deopt, OSR and exception semantics are untouched.
 #pragma once
 
-#include <cstdint>
-#include <vector>
-
-#include "vm/regir.hpp"
+#include "vm/regir_ops.hpp"
 
 namespace hpcnet::vm::regir {
 
-/// Borrowed views of the register compiler's pre-compaction state. Branch
-/// `d` fields still hold IL pcs; `il_start` maps IL pc -> code index and is
-/// shifted by insertions exactly like the LICM pass does.
-struct VecLowerInput {
-  std::vector<RInstr>* code = nullptr;
-  std::vector<std::int32_t>* il_start = nullptr;
-  const std::vector<bool>* labels = nullptr;  // IL pcs that are branch targets
-  const MethodDef* method = nullptr;          // handler table (region checks)
-  RCode* rc = nullptr;  // reg_types / args_pool / slot_regs / vec_loops
-};
-
 /// Runs the recognizer to fixpoint; returns the number of loops lowered.
-int lower_vector_loops(const VecLowerInput& in);
+int lower_vector_loops(const IrView& ir);
 
 }  // namespace hpcnet::vm::regir

@@ -6,6 +6,7 @@
 #include <algorithm>
 
 #include "vm/regcompile.hpp"
+#include "vm/regir_ops.hpp"
 #include "vm_test_util.hpp"
 
 namespace hpcnet::test {
@@ -330,6 +331,22 @@ TEST(RegIr, CseDedupsRepeatedElementLoads) {
             count_op(c, ROp::LDELEM_I4) + count_op(c, ROp::LDELEMU_I4));
 }
 
+/// Position of the (single) MUL_I4 and of the earliest back-edge target in a
+/// compiled listing: with LICM the multiply sits before the loop body.
+std::pair<std::size_t, std::size_t> mul_and_loop_begin(const RCode& rc) {
+  std::size_t mul_pos = 0, loop_begin = rc.code.size();
+  for (std::size_t k = 0; k < rc.code.size(); ++k) {
+    const RInstr& in = rc.code[k];
+    if (in.op == ROp::MUL_I4) mul_pos = k;
+    const bool branch = in.op == ROp::JMPB ||
+                        (in.op >= ROp::JZ_I4 && in.op <= ROp::JGEI_I4);
+    if (branch && in.d >= 0 && static_cast<std::size_t>(in.d) <= k) {
+      loop_begin = std::min(loop_begin, static_cast<std::size_t>(in.d));
+    }
+  }
+  return {mul_pos, loop_begin};
+}
+
 TEST(RegIr, LicmHoistsInvariantMultiplyAboveLoop) {
   VirtualMachine vm;
   // acc += a*a with loop-invariant argument a.
@@ -356,25 +373,121 @@ TEST(RegIr, LicmHoistsInvariantMultiplyAboveLoop) {
   const RCode c = regir::compile(vm.module(), vm.module().method(m), off);
   ASSERT_EQ(count_op(a, ROp::MUL_I4), 1u);
   ASSERT_EQ(count_op(c, ROp::MUL_I4), 1u);
-  // Find the backward branch (the loop's back-edge) in each listing; with
-  // LICM the multiply sits before the loop body it used to sit inside.
-  auto analyse = [](const RCode& rc) {
-    std::size_t mul_pos = 0, loop_begin = rc.code.size();
-    for (std::size_t k = 0; k < rc.code.size(); ++k) {
-      const RInstr& in = rc.code[k];
-      if (in.op == ROp::MUL_I4) mul_pos = k;
-      const bool branch = in.op == ROp::JMPB ||
-                          (in.op >= ROp::JZ_I4 && in.op <= ROp::JGEI_I4);
-      if (branch && in.d >= 0 && static_cast<std::size_t>(in.d) <= k) {
-        loop_begin = std::min(loop_begin, static_cast<std::size_t>(in.d));
-      }
-    }
-    return std::make_pair(mul_pos, loop_begin);
-  };
-  const auto [mul_on, loop_on] = analyse(a);
-  const auto [mul_off, loop_off] = analyse(c);
+  const auto [mul_on, loop_on] = mul_and_loop_begin(a);
+  const auto [mul_off, loop_off] = mul_and_loop_begin(c);
   EXPECT_LT(mul_on, loop_on);      // hoisted into the preheader
   EXPECT_GE(mul_off, loop_off);    // still inside the loop without LICM
+}
+
+/// The loop above (acc += a*a, a = arg 1), in one of two shapes LICM must
+/// leave alone: the body inside try/catch, so a handler begins inside the
+/// loop region, or a second entry from outside (arg 2 != 0 jumps straight
+/// to the guard, besides the rotated loop's own `br cond`).
+std::int32_t build_guarded_mul_loop(Module& mod, bool handler) {
+  ILBuilder b(mod, handler ? "t_licm_eh" : "t_licm_2entry",
+              {{ValType::I32, ValType::I32, ValType::I32}, ValType::I32});
+  const auto i = b.add_local(ValType::I32);
+  const auto acc = b.add_local(ValType::I32);
+  auto cond = b.new_label();
+  auto top = b.new_label();
+  b.ldc_i4(0).stloc(acc);
+  b.ldc_i4(0).stloc(i);
+  if (!handler) b.ldarg(2).brtrue(cond);
+  b.br(cond);
+  b.bind(top);
+  b.ldloc(acc).ldarg(1).ldarg(1).mul().add().stloc(acc);
+  if (handler) {
+    auto t1 = b.new_label();
+    auto h = b.new_label();
+    auto next = b.new_label();
+    b.leave(next);
+    b.bind(t1);
+    b.add_catch(top, t1, h, mod.exception_class());
+    b.bind(h);
+    b.pop().leave(next);
+    b.bind(next);
+  }
+  b.ldloc(i).ldc_i4(1).add().stloc(i);
+  b.bind(cond);
+  b.ldloc(i).ldarg(0).blt(top);
+  b.ldloc(acc).ret();
+  return b.finish();
+}
+
+TEST(RegIr, LicmSkipsHandlerAndTwoEntryLoops) {
+  for (const bool handler : {true, false}) {
+    VMFixture f;
+    const auto m = build_guarded_mul_loop(f.vm.module(), handler);
+    verify(f.vm.module(), m);
+    const RCode rc = regir::compile(f.vm.module(), f.vm.module().method(m),
+                                    profiles::clr11().flags);
+    ASSERT_EQ(count_op(rc, ROp::MUL_I4), 1u);
+    const auto [mul_pos, loop_begin] = mul_and_loop_begin(rc);
+    EXPECT_GE(mul_pos, loop_begin) << (handler ? "handler" : "two entries");
+    for (std::int32_t skip = 0; skip < 2; ++skip) {
+      EXPECT_EQ(f.run_all(m, {Slot::from_i32(5), Slot::from_i32(3),
+                              Slot::from_i32(skip)}).i32, 45);
+    }
+  }
+}
+
+/// The loop-region analysis LICM, BCE and the VECLOOP lowerer share, on a
+/// hand-built rotated loop: `0: ldi; 1: jmp ->3; 2: addi; 3: jlt ->2; 4: ret`
+/// (branch targets are IL pcs, and IL pc k maps to code index k).
+TEST(RegIr, LoopRegionEntryShapes) {
+  auto instr = [](ROp op, std::int32_t d, std::int32_t a = -1,
+                  std::int32_t b = -1) {
+    RInstr in;
+    in.op = op;
+    in.d = d;
+    in.a = a;
+    in.b = b;
+    return in;
+  };
+  std::vector<RInstr> code = {
+      instr(ROp::LDI, 0), instr(ROp::JMP, 3), instr(ROp::ADDI_I4, 0, 0),
+      instr(ROp::JLT_I4, 2, 0, 1), instr(ROp::RET_R, -1, 0)};
+  std::vector<std::int32_t> il_start = {0, 1, 2, 3, 4, 5};
+  const std::vector<bool> labels = {false, false, true, true, false, false};
+  MethodDef md;
+  RCode rc;
+  rc.reg_types = {ValType::I32, ValType::I32};
+  regir::IrView ir{code, il_start, labels, md, rc};
+
+  const auto loops = ir.back_edges(regir::is_branch, true);
+  ASSERT_EQ(loops.size(), 1u);
+  const regir::BackEdge loop = loops[0];
+  EXPECT_EQ(loop.body, 2);
+  EXPECT_EQ(loop.branch, 3);
+  regir::RegionEntry e = ir.entry(loop);
+  EXPECT_EQ(e.shape, regir::LoopEntry::Rotated);
+  EXPECT_EQ(e.jmp, 1);
+  EXPECT_EQ(e.target, 3);
+  EXPECT_EQ(ir.region_defs(loop)[0], 1);
+  EXPECT_TRUE(ir.uses_reg(code[3], 1));
+  EXPECT_EQ(ir.label_positions(),
+            (std::vector<bool>{false, false, true, true, false}));
+
+  // A handler beginning inside the region admits an entry by unwind.
+  ExHandler h;
+  h.handler = 2;
+  md.handlers.push_back(h);
+  EXPECT_EQ(ir.entry(loop).shape, regir::LoopEntry::None);
+  md.handlers.clear();
+
+  // A second (conditional) entry from outside.
+  code[0] = instr(ROp::JZ_I4, 3, 0);
+  EXPECT_EQ(ir.entry(loop).shape, regir::LoopEntry::None);
+
+  // No jump in: the head is reached by falling into it.
+  code[0] = instr(ROp::LDI, 0);
+  code[1] = instr(ROp::NOP_R, -1);
+  EXPECT_EQ(ir.entry(loop).shape, regir::LoopEntry::FallIn);
+
+  // Insertion shifts every IL mapping at or after the insertion point.
+  ir.insert_before(2, {instr(ROp::LDI, 1)});
+  EXPECT_EQ(code.size(), 6u);
+  EXPECT_EQ(il_start, (std::vector<std::int32_t>{0, 1, 3, 4, 5, 6}));
 }
 
 // ---------------------------------------------------------------------------

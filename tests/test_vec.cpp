@@ -395,6 +395,55 @@ TEST(VecLower, CallInBodyDoesNotLower) {
   EXPECT_EQ(count_op(rc, ROp::VECLOOP), 0u);
 }
 
+/// acc += a[i] over a fresh f64 array of length arg 0 (the kSumF64 shape),
+/// made unlowerable in one of two ways: the body inside try/catch, so a
+/// handler begins inside the loop region, or a second entry from outside
+/// (arg 1 != 0 jumps straight to the guard, besides the rotated loop's own
+/// `br cond`). With neither it lowers.
+std::int32_t build_guarded_sum(Module& mod, const char* name, bool handler,
+                               bool second_entry) {
+  ILBuilder b(mod, name, {{ValType::I32, ValType::I32}, ValType::F64});
+  const auto a = b.add_local(ValType::Ref);
+  const auto i = b.add_local(ValType::I32);
+  const auto acc = b.add_local(ValType::F64);
+  auto cond = b.new_label();
+  auto top = b.new_label();
+  b.ldarg(0).newarr(ValType::F64).stloc(a);
+  b.ldc_r8(0.0).stloc(acc);
+  b.ldc_i4(0).stloc(i);
+  if (second_entry) b.ldarg(1).brtrue(cond);
+  b.br(cond);
+  b.bind(top);
+  b.ldloc(acc).ldloc(a).ldloc(i).ldelem(ValType::F64).add().stloc(acc);
+  if (handler) {
+    auto t1 = b.new_label();
+    auto h = b.new_label();
+    auto next = b.new_label();
+    b.leave(next);
+    b.bind(t1);
+    b.add_catch(top, t1, h, mod.exception_class());
+    b.bind(h);
+    b.pop().leave(next);
+    b.bind(next);
+  }
+  b.ldloc(i).ldc_i4(1).add().stloc(i);
+  b.bind(cond);
+  b.ldloc(i).ldloc(a).ldlen().blt(top);
+  b.ldloc(acc).ret();
+  return b.finish();
+}
+
+TEST(VecLower, HandlerInLoopOrSecondEntryDoesNotLower) {
+  VirtualMachine vm;
+  Module& mod = vm.module();
+  const auto plain = build_guarded_sum(mod, "v.sum_plain", false, false);
+  EXPECT_EQ(count_op(compile_with(vm, plain, vec_flags()), ROp::VECLOOP), 1u);
+  const auto eh = build_guarded_sum(mod, "v.neg_eh", true, false);
+  EXPECT_EQ(count_op(compile_with(vm, eh, vec_flags()), ROp::VECLOOP), 0u);
+  const auto two = build_guarded_sum(mod, "v.neg_2entry", false, true);
+  EXPECT_EQ(count_op(compile_with(vm, two, vec_flags()), ROp::VECLOOP), 0u);
+}
+
 TEST(VecLower, RefElementStoreDoesNotLower) {
   VirtualMachine vm;
   ILBuilder b(vm.module(), "v.neg_ref", {{ValType::I32}, ValType::I32});
