@@ -28,7 +28,8 @@ int main(int argc, char** argv) {
                                           : std::vector<int>{2};
 
   for (int n : counts) {
-    const std::string suffix = ":" + std::to_string(n) + "t";
+    const std::string suffix =
+        std::string(":").append(std::to_string(n)).append("t");
     register_custom(
         "ForkJoin" + suffix,
         [forkjoin, n](vm::Engine& e) {

@@ -82,8 +82,9 @@ class WireWriter {
   void i32(std::int32_t v) { u32(static_cast<std::uint32_t>(v)); }
   void i64(std::int64_t v) { u64(static_cast<std::uint64_t>(v)); }
   void str(const std::string& s) {
+    buf_.reserve(buf_.size() + 4 + s.size());  // one growth for prefix + bytes
     u32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    bytes(s.data(), s.size());
   }
   void bytes(const char* data, std::size_t n) {
     buf_.insert(buf_.end(), data, data + n);

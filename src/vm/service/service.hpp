@@ -146,7 +146,7 @@ struct ServiceOptions {
   /// (no per-instance recompilation — N services can share one archive).
   /// Ignored (cold boot) when null or when the archive targets a different
   /// profile than the service's.
-  std::shared_ptr<const CodeArchive> warm_start;
+  std::shared_ptr<const CodeArchive> warm_start = nullptr;
 };
 
 class ExecutionService {

@@ -4,6 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <functional>
+#include <limits>
+#include <map>
+#include <string>
+#include <tuple>
 
 #include "vm/regcompile.hpp"
 #include "vm/regir_ops.hpp"
@@ -610,6 +616,322 @@ TEST_P(RegIrFlags, EveryFlagComboMatchesInterpreter) {
 
 INSTANTIATE_TEST_SUITE_P(AllCombos, RegIrFlags,
                          ::testing::Range<std::size_t>(0, 15));
+
+
+// ---------------------------------------------------------------------------
+// Opcode coverage: the optimizing tier's handlers that SciMark and the tests
+// above never reach — the i8/r4/r8/ref arms of the fused branches and
+// compares, the immediate and zero-test branches, shifts, conversions and
+// i8/r4 arithmetic. Each row builds a small method, requires the clr11
+// compile to contain the ROp under test on its straight-line path (so a
+// passing row is known to have run that handler), then runs every input on
+// clr11, mono023 and rotor10 and requires the same result bits — or the same
+// exception class.
+
+using BinOp = ILBuilder& (ILBuilder::*)();
+using BranchOp = ILBuilder& (ILBuilder::*)(ILBuilder::Label);
+
+struct CoverageRow {
+  ROp op;  // must appear in the clr11 RCode
+  std::vector<ValType> params;
+  ValType ret;
+  std::function<void(ILBuilder&)> body;
+  std::vector<std::vector<Slot>> inputs;
+};
+
+/// One invocation's observable outcome: the result's bits at the return
+/// type's width (an i32/f32 result owns only the low half of its slot), or
+/// the class of the exception it threw.
+std::string outcome(Engine& e, VMContext& ctx, std::int32_t m, ValType ret,
+                    const std::vector<Slot>& args) {
+  try {
+    const Slot r = e.invoke(ctx, m, args);
+    const bool narrow = ret == ValType::I32 || ret == ValType::F32;
+    return "bits " + std::to_string(narrow ? r.raw & 0xffffffffu : r.raw);
+  } catch (const ManagedException& ex) {
+    return "throws " + ex.class_name();
+  }
+}
+
+ValType result_of(BinOp op, ValType t) {
+  const bool cmp = op == &ILBuilder::ceq || op == &ILBuilder::cgt ||
+                   op == &ILBuilder::clt;
+  return cmp ? ValType::I32 : t;
+}
+
+std::vector<CoverageRow> coverage_rows(ObjRef o1, ObjRef o2) {
+  const auto i4 = [](std::int32_t v) { return Slot::from_i32(v); };
+  const auto i8 = [](std::int64_t v) { return Slot::from_i64(v); };
+  const auto r4 = [](float v) { return Slot::from_f32(v); };
+  const auto r8 = [](double v) { return Slot::from_f64(v); };
+  constexpr std::int32_t kI4Min = std::numeric_limits<std::int32_t>::min();
+  constexpr std::int32_t kI4Max = std::numeric_limits<std::int32_t>::max();
+  constexpr std::int64_t kI8Min = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t kI8Max = std::numeric_limits<std::int64_t>::max();
+  constexpr float kNaN4 = std::numeric_limits<float>::quiet_NaN();
+  constexpr double kNaN8 = std::numeric_limits<double>::quiet_NaN();
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::int64_t hi = std::int64_t{1} << 40;  // low 32 bits zero
+
+  // Operand pairs per type: below, equal, above, and the values a
+  // wrong-width or wrong-type handler gets wrong.
+  std::map<ValType, std::vector<std::vector<Slot>>> pairs = {
+      {ValType::I32,
+       {{i4(3), i4(7)}, {i4(7), i4(7)}, {i4(7), i4(3)}, {i4(-1), i4(1)},
+        {i4(kI4Min), i4(kI4Max)}, {i4(kI4Max), i4(-1)}}},
+      {ValType::I64,
+       {{i8(3), i8(7)}, {i8(7), i8(7)}, {i8(hi + 5), i8(5)},
+        {i8(5), i8(2 * hi + 5)}, {i8(-hi), i8(hi)}, {i8(kI8Min), i8(-1)},
+        {i8(kI8Max), i8(kI8Min)}, {i8(-7), i8(0)}}},
+      {ValType::F32,
+       {{r4(1.5f), r4(2.5f)}, {r4(2.5f), r4(2.5f)}, {r4(2.5f), r4(-1.5f)},
+        {r4(0.0f), r4(-0.0f)}, {r4(kNaN4), r4(1.0f)}, {r4(1.0f), r4(kNaN4)},
+        {r4(3.0e38f), r4(10.0f)}, {r4(7.0f), r4(0.0f)}}},
+      {ValType::F64,
+       {{r8(1.5), r8(2.5)}, {r8(2.5), r8(2.5)}, {r8(2.5), r8(-1.5)},
+        {r8(0.0), r8(-0.0)}, {r8(kNaN8), r8(1.0)}, {r8(1.0), r8(kNaN8)},
+        {r8(kInf), r8(1e308)}, {r8(7.0), r8(0.0)}}},
+      {ValType::Ref,
+       {{Slot::from_ref(nullptr), Slot::from_ref(nullptr)},
+        {Slot::from_ref(o1), Slot::from_ref(nullptr)},
+        {Slot::from_ref(nullptr), Slot::from_ref(o2)},
+        {Slot::from_ref(o1), Slot::from_ref(o1)},
+        {Slot::from_ref(o1), Slot::from_ref(o2)}}},
+  };
+  // Single operands per type, for the unary ops and conversions.
+  std::map<ValType, std::vector<std::vector<Slot>>> singles = {
+      {ValType::I32,
+       {{i4(0)}, {i4(-1)}, {i4(127)}, {i4(128)}, {i4(255)}, {i4(256)},
+        {i4(32767)}, {i4(32768)}, {i4(65535)}, {i4(-129)}, {i4(kI4Min)},
+        {i4(kI4Max)}, {i4(16777217)}}},
+      {ValType::I64,
+       {{i8(0)}, {i8(-5)}, {i8(hi)}, {i8(hi + 0x80)}, {i8(kI8Min)},
+        {i8(kI8Max)}, {i8((std::int64_t{1} << 53) + 1)},
+        {i8((std::int64_t{1} << 24) + 1)}, {i8(0xffffffffLL)}}},
+      {ValType::F32,
+       {{r4(0.5f)}, {r4(-2.75f)}, {r4(-0.0f)}, {r4(3.0e9f)}, {r4(-3.0e9f)},
+        {r4(1.0e20f)}, {r4(kNaN4)}, {r4(std::numeric_limits<float>::infinity())},
+        {r4(-129.5f)}}},
+      {ValType::F64,
+       {{r8(0.5)}, {r8(-2.75)}, {r8(-0.0)}, {r8(3.0e9)}, {r8(-3.0e9)},
+        {r8(1.0e20)}, {r8(1.0e300)}, {r8(kNaN8)}, {r8(-kInf)},
+        {r8(16777217.0)}, {r8(-129.5)}}},
+  };
+  const std::vector<std::vector<Slot>> ref_truth = {
+      {Slot::from_ref(nullptr)}, {Slot::from_ref(o1)}};
+  const std::vector<std::vector<Slot>> i8_truth = {
+      {i8(0)}, {i8(1)}, {i8(hi)}, {i8(-1)}};
+
+  std::vector<CoverageRow> rows;
+  const auto binary = [&](ROp op, ValType t, BinOp emit) {
+    rows.push_back({op, {t, t}, result_of(emit, t),
+                    [emit](ILBuilder& b) { (b.ldarg(0).ldarg(1).*emit)().ret(); },
+                    pairs[t]});
+  };
+  const auto unary = [&](ROp op, ValType t, ValType ret, BinOp emit) {
+    rows.push_back({op, {t}, ret,
+                    [emit](ILBuilder& b) { (b.ldarg(0).*emit)().ret(); },
+                    singles[t]});
+  };
+  // Returns 1 when the branch is taken, 0 when it falls through.
+  const auto branch_body = [](BranchOp br, std::function<void(ILBuilder&)> load) {
+    return [br, load](ILBuilder& b) {
+      const ILBuilder::Label taken = b.new_label();
+      load(b);
+      (b.*br)(taken);
+      b.ldc_i4(0).ret();
+      b.bind(taken);
+      b.ldc_i4(1).ret();
+    };
+  };
+  const auto two_args = [](ILBuilder& b) { b.ldarg(0).ldarg(1); };
+
+  // Fused compare-and-branch, every type.
+  const std::vector<std::pair<BranchOp, std::array<ROp, 4>>> fused = {
+      {&ILBuilder::beq, {ROp::JEQ_I4, ROp::JEQ_I8, ROp::JEQ_R4, ROp::JEQ_R8}},
+      {&ILBuilder::bne, {ROp::JNE_I4, ROp::JNE_I8, ROp::JNE_R4, ROp::JNE_R8}},
+      {&ILBuilder::blt, {ROp::JLT_I4, ROp::JLT_I8, ROp::JLT_R4, ROp::JLT_R8}},
+      {&ILBuilder::ble, {ROp::JLE_I4, ROp::JLE_I8, ROp::JLE_R4, ROp::JLE_R8}},
+      {&ILBuilder::bgt, {ROp::JGT_I4, ROp::JGT_I8, ROp::JGT_R4, ROp::JGT_R8}},
+      {&ILBuilder::bge, {ROp::JGE_I4, ROp::JGE_I8, ROp::JGE_R4, ROp::JGE_R8}},
+  };
+  const std::array<ValType, 4> num = {ValType::I32, ValType::I64,
+                                      ValType::F32, ValType::F64};
+  for (const auto& [br, ops] : fused) {
+    for (std::size_t k = 0; k < num.size(); ++k) {
+      rows.push_back({ops[k], {num[k], num[k]}, ValType::I32,
+                      branch_body(br, two_args), pairs[num[k]]});
+    }
+  }
+  rows.push_back({ROp::JEQ_REF, {ValType::Ref, ValType::Ref}, ValType::I32,
+                  branch_body(&ILBuilder::beq, two_args), pairs[ValType::Ref]});
+  rows.push_back({ROp::JNE_REF, {ValType::Ref, ValType::Ref}, ValType::I32,
+                  branch_body(&ILBuilder::bne, two_args), pairs[ValType::Ref]});
+
+  // Zero tests on i8 and ref.
+  const auto one_arg = [](ILBuilder& b) { b.ldarg(0); };
+  rows.push_back({ROp::JZ_I8, {ValType::I64}, ValType::I32,
+                  branch_body(&ILBuilder::brfalse, one_arg), i8_truth});
+  rows.push_back({ROp::JNZ_I8, {ValType::I64}, ValType::I32,
+                  branch_body(&ILBuilder::brtrue, one_arg), i8_truth});
+  rows.push_back({ROp::JZ_REF, {ValType::Ref}, ValType::I32,
+                  branch_body(&ILBuilder::brfalse, one_arg), ref_truth});
+  rows.push_back({ROp::JNZ_REF, {ValType::Ref}, ValType::I32,
+                  branch_body(&ILBuilder::brtrue, one_arg), ref_truth});
+
+  // Immediate compare-and-branch on i32.
+  const std::vector<std::pair<BranchOp, ROp>> imm_branches = {
+      {&ILBuilder::beq, ROp::JEQI_I4}, {&ILBuilder::bne, ROp::JNEI_I4},
+      {&ILBuilder::blt, ROp::JLTI_I4}, {&ILBuilder::ble, ROp::JLEI_I4},
+      {&ILBuilder::bgt, ROp::JGTI_I4}, {&ILBuilder::bge, ROp::JGEI_I4},
+  };
+  for (const auto& [br, op] : imm_branches) {
+    rows.push_back({op, {ValType::I32}, ValType::I32,
+                    branch_body(br, [](ILBuilder& b) { b.ldarg(0).ldc_i4(-7); }),
+                    {{i4(-8)}, {i4(-7)}, {i4(-6)}, {i4(kI4Min)}, {i4(kI4Max)}}});
+  }
+
+  // Compares materialized as 0/1.
+  const std::vector<std::pair<BinOp, std::array<ROp, 4>>> compares = {
+      {&ILBuilder::ceq, {ROp::CEQ_I4, ROp::CEQ_I8, ROp::CEQ_R4, ROp::CEQ_R8}},
+      {&ILBuilder::cgt, {ROp::CGT_I4, ROp::CGT_I8, ROp::CGT_R4, ROp::CGT_R8}},
+      {&ILBuilder::clt, {ROp::CLT_I4, ROp::CLT_I8, ROp::CLT_R4, ROp::CLT_R8}},
+  };
+  for (const auto& [emit, ops] : compares) {
+    for (std::size_t k = 0; k < num.size(); ++k) binary(ops[k], num[k], emit);
+  }
+  binary(ROp::CEQ_REF, ValType::Ref, &ILBuilder::ceq);
+
+  // i8 and r4 arithmetic (the i8 divisions include the faulting inputs).
+  binary(ROp::ADD_I8, ValType::I64, &ILBuilder::add);
+  binary(ROp::SUB_I8, ValType::I64, &ILBuilder::sub);
+  binary(ROp::MUL_I8, ValType::I64, &ILBuilder::mul);
+  binary(ROp::DIV_I8, ValType::I64, &ILBuilder::div);
+  binary(ROp::REM_I8, ValType::I64, &ILBuilder::rem);
+  binary(ROp::AND_I8, ValType::I64, &ILBuilder::and_);
+  binary(ROp::OR_I8, ValType::I64, &ILBuilder::or_);
+  binary(ROp::XOR_I8, ValType::I64, &ILBuilder::xor_);
+  unary(ROp::NEG_I8, ValType::I64, ValType::I64, &ILBuilder::neg);
+  unary(ROp::NOT_I8, ValType::I64, ValType::I64, &ILBuilder::not_);
+  binary(ROp::ADD_R4, ValType::F32, &ILBuilder::add);
+  binary(ROp::SUB_R4, ValType::F32, &ILBuilder::sub);
+  binary(ROp::MUL_R4, ValType::F32, &ILBuilder::mul);
+  binary(ROp::DIV_R4, ValType::F32, &ILBuilder::div);
+  binary(ROp::REM_R4, ValType::F32, &ILBuilder::rem);
+  unary(ROp::NEG_R4, ValType::F32, ValType::F32, &ILBuilder::neg);
+  const std::vector<std::pair<ROp, BinOp>> i8_imm = {
+      {ROp::ADDI_I8, &ILBuilder::add},
+      {ROp::SUBI_I8, &ILBuilder::sub},
+      {ROp::MULI_I8, &ILBuilder::mul},
+  };
+  for (const auto& [op, emit] : i8_imm) {
+    rows.push_back({op, {ValType::I64}, ValType::I64,
+                    [emit](ILBuilder& b) {
+                      (b.ldarg(0).ldc_i8(hi + 3).*emit)().ret();
+                    },
+                    singles[ValType::I64]});
+  }
+
+  // Shifts: register count (i4 and i8 values, i32 count) and constant count.
+  const std::vector<std::vector<Slot>> counts = {
+      {i4(0)}, {i4(1)}, {i4(31)}, {i4(33)}, {i4(63)}, {i4(64)}, {i4(-1)}};
+  const std::vector<std::tuple<BinOp, ROp, ROp>> shifts = {
+      {&ILBuilder::shl, ROp::SHL_I4, ROp::SHL_I8},
+      {&ILBuilder::shr, ROp::SHR_I4, ROp::SHR_I8},
+      {&ILBuilder::shr_un, ROp::SHRU_I4, ROp::SHRU_I8},
+  };
+  for (const auto& [emit, op4, op8] : shifts) {
+    for (const auto& [op, t, value] :
+         {std::tuple{op4, ValType::I32, i4(-123457)},
+          std::tuple{op8, ValType::I64, i8(-hi - 123457)}}) {
+      std::vector<std::vector<Slot>> in;
+      for (const auto& c : counts) in.push_back({value, c[0]});
+      rows.push_back({op, {t, ValType::I32}, t,
+                      [emit](ILBuilder& b) { (b.ldarg(0).ldarg(1).*emit)().ret(); },
+                      in});
+    }
+  }
+  const std::vector<std::tuple<BinOp, ROp, ValType>> imm_shifts = {
+      {&ILBuilder::shl, ROp::SHLI_I4, ValType::I32},
+      {&ILBuilder::shr, ROp::SHRI_I4, ValType::I32},
+      {&ILBuilder::shl, ROp::SHLI_I8, ValType::I64},
+      {&ILBuilder::shr, ROp::SHRI_I8, ValType::I64},
+  };
+  for (const auto& [emit, op, t] : imm_shifts) {
+    for (const std::int32_t n : {3, 35}) {
+      rows.push_back({op, {t}, t,
+                      [emit, n](ILBuilder& b) { (b.ldarg(0).ldc_i4(n).*emit)().ret(); },
+                      singles[t]});
+    }
+  }
+
+  // Conversions between every pair of numeric types, and the narrowing
+  // sign/zero extensions.
+  const std::array<BinOp, 4> to = {&ILBuilder::conv_i4, &ILBuilder::conv_i8,
+                                   &ILBuilder::conv_r4, &ILBuilder::conv_r8};
+  const ROp cv[4][4] = {
+      {ROp::NOP_R, ROp::CV_I4_I8, ROp::CV_I4_R4, ROp::CV_I4_R8},
+      {ROp::CV_I8_I4, ROp::NOP_R, ROp::CV_I8_R4, ROp::CV_I8_R8},
+      {ROp::CV_R4_I4, ROp::CV_R4_I8, ROp::NOP_R, ROp::CV_R4_R8},
+      {ROp::CV_R8_I4, ROp::CV_R8_I8, ROp::CV_R8_R4, ROp::NOP_R},
+  };
+  for (std::size_t s = 0; s < num.size(); ++s) {
+    for (std::size_t d = 0; d < num.size(); ++d) {
+      if (s != d) unary(cv[s][d], num[s], num[d], to[d]);
+    }
+  }
+  unary(ROp::SEXT8, ValType::I32, ValType::I32, &ILBuilder::conv_i1);
+  unary(ROp::ZEXT8, ValType::I32, ValType::I32, &ILBuilder::conv_u1);
+  unary(ROp::SEXT16, ValType::I32, ValType::I32, &ILBuilder::conv_i2);
+  unary(ROp::ZEXT16, ValType::I32, ValType::I32, &ILBuilder::conv_u2);
+  return rows;
+}
+
+TEST(RegIr, OpcodeCoverageAgreesAcrossTiers) {
+  VMFixture f;
+  Module& mod = f.vm.module();
+  VMContext& ctx = f.vm.main_context();
+  // Two distinct live objects for the ref rows; nothing below allocates, so
+  // no collection runs while the test holds them.
+  ObjRef o1 = f.vm.heap().alloc_array(ValType::I32, 1);
+  ObjRef o2 = f.vm.heap().alloc_array(ValType::I32, 1);
+  ASSERT_NE(o1, nullptr);
+  ASSERT_NE(o2, nullptr);
+
+  const std::vector<CoverageRow> rows = coverage_rows(o1, o2);
+  std::size_t runs = 0;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const CoverageRow& row = rows[i];
+    RInstr probe;
+    probe.op = row.op;
+    const std::string what = regir::to_string(probe);
+    ILBuilder b(mod, "cov" + std::to_string(i), {row.params, row.ret});
+    row.body(b);
+    const auto m = b.finish();
+    verify(mod, m);
+    const RCode rc = regir::compile(mod, mod.method(m), profiles::clr11().flags);
+    ASSERT_GE(count_op(rc, row.op), 1u)
+        << "row " << i << " (" << what << ") compiled to:\n"
+        << regir::to_string(rc);
+    for (const std::vector<Slot>& args : row.inputs) {
+      std::string first;
+      for (auto& e : f.engines) {
+        ctx.engine = e.get();
+        const std::string got = outcome(*e, ctx, m, row.ret, args);
+        if (e == f.engines.front()) {
+          first = got;
+        } else {
+          EXPECT_EQ(first, got) << what << " on " << e->name() << ", input "
+                                << (&args - row.inputs.data());
+        }
+      }
+      ++runs;
+    }
+  }
+  // The table cannot silently shrink, and rows run several inputs each.
+  EXPECT_GT(rows.size(), 90u);
+  EXPECT_GT(runs, 3 * rows.size());
+}
 
 }  // namespace
 }  // namespace hpcnet::test

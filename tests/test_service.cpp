@@ -703,8 +703,9 @@ TEST(Service, ConcurrentSubmissionFromEightThreads) {
   VirtualMachine vm;
   const auto spin = build_spin(vm.module(), "svc.spin");
   ExecutionService svc(vm, profiles::clr11(), {.workers = 8});
+  const std::string tenants[] = {"t0", "t1", "t2", "t3"};
   for (int t = 0; t < 4; ++t) {
-    svc.add_tenant({.name = "t" + std::to_string(t),
+    svc.add_tenant({.name = tenants[t],
                     .fuel_per_job = t % 2 == 0 ? 0u : 1'000'000u});
   }
   constexpr int kThreads = 8;
@@ -717,7 +718,7 @@ TEST(Service, ConcurrentSubmissionFromEightThreads) {
       for (int j = 0; j < kJobsPerThread; ++j) {
         const int n = 100 + (t * kJobsPerThread + j) % 900;
         const JobResult r =
-            svc.submit("t" + std::to_string(t % 4), spin, {Slot::from_i32(n)})
+            svc.submit(tenants[t % 4], spin, {Slot::from_i32(n)})
                 .wait();
         if (r.outcome == JobOutcome::Completed &&
             r.value.i32 == (n - 1) * n / 2) {
@@ -731,7 +732,7 @@ TEST(Service, ConcurrentSubmissionFromEightThreads) {
   EXPECT_EQ(ok.load(), kThreads * kJobsPerThread);
   std::uint64_t total = 0;
   for (int t = 0; t < 4; ++t) {
-    total += svc.tenant_stats("t" + std::to_string(t)).jobs_completed;
+    total += svc.tenant_stats(tenants[t]).jobs_completed;
   }
   EXPECT_EQ(total, static_cast<std::uint64_t>(kThreads * kJobsPerThread));
 }
